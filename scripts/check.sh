@@ -7,8 +7,11 @@
 # crashes mid-run and restores from checkpoints, serially and with 4
 # workers, must reproduce the uninterrupted report byte for byte),
 # run the dual-dispatch differential suite (switch vs threaded must be
-# byte-identical), emit the perf-trajectory figures (BENCH_simspeed.json,
-# BENCH_parallel.json) from a dedicated Release build-bench tree —
+# byte-identical), smoke the upcd/upcc service (a cache hit equals the
+# cold reply, no spool survives a successful job), run the end-to-end
+# benchmark's planted-fault self-test, emit the perf-trajectory
+# figures (BENCH_simspeed.json, BENCH_parallel.json) from a dedicated
+# Release build-bench tree —
 # comparing against the committed baseline and refusing debug-build
 # figures — then rebuild with AddressSanitizer for the
 # fault/lint/snap/dispatch tests, with UBSan for the
@@ -133,10 +136,29 @@ SVC_REQ='{"workloads":"paper","instructions":3000,"warmup":600}'
 "$BUILD/tools/upcc" submit --socket "$SOCK" "$SVC_REQ" \
     > "$SVC_DIR/reply-hit.json" 2>/dev/null
 cmp "$SVC_DIR/reply-cold.json" "$SVC_DIR/reply-hit.json"
+# A successful job removes its spool before replying: no per-key
+# directory may be left under the spool.
+if [ -n "$(find "$SVC_DIR/spool" -mindepth 1 -maxdepth 1 -type d)" ]
+then
+    echo "error: a successful job left its spool behind:" >&2
+    ls -l "$SVC_DIR/spool" >&2
+    kill "$UPCD_PID" 2>/dev/null || true
+    exit 1
+fi
 # Graceful shutdown: SIGTERM must drain and exit 0.
 kill -TERM "$UPCD_PID"
 wait "$UPCD_PID"
-echo "replies identical; upcd drained cleanly on SIGTERM"
+echo "replies identical; no spool left; upcd drained cleanly on SIGTERM"
+
+if command -v python3 >/dev/null 2>&1
+then
+    echo "== e2ebench planted-fault self-test =="
+    # The benchmark's own checks must still catch every planted fault;
+    # its build tree goes under the gate's build directory.
+    CARGO_TARGET_DIR="$BUILD" python3 e2ebench/run.py --self-test
+else
+    echo "== python3 unavailable; skipping e2ebench self-test =="
+fi
 
 echo "== perf trajectory (Release build-bench; BENCH_*.json at root) =="
 # The committed figures are the baseline future PRs are judged

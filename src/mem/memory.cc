@@ -90,34 +90,26 @@ constexpr uint32_t SnapPage = 4096;
 void
 PhysicalMemory::serialize(ByteWriter &w) const
 {
-    w.u32(static_cast<uint32_t>(data_.size()));
-    const uint32_t pages =
-        (static_cast<uint32_t>(data_.size()) + SnapPage - 1) / SnapPage;
-    // First pass: count non-zero pages so the reader knows the count
+    static const uint8_t zeroPage[SnapPage] = {};
+    const uint32_t size = static_cast<uint32_t>(data_.size());
+    const uint32_t pages = (size + SnapPage - 1) / SnapPage;
+    auto pageLen = [size](uint32_t p) {
+        return std::min<uint32_t>(SnapPage, size - p * SnapPage);
+    };
+    // One scan finds the non-zero pages (memcmp tests a word at a
+    // time); their count leads the page list so the reader knows it
     // up front.
-    uint32_t nonzero = 0;
-    for (uint32_t p = 0; p < pages; ++p) {
-        const uint32_t off = p * SnapPage;
-        const uint32_t len = std::min<uint32_t>(
-            SnapPage, static_cast<uint32_t>(data_.size()) - off);
-        bool all_zero = true;
-        for (uint32_t i = 0; i < len && all_zero; ++i)
-            all_zero = data_[off + i] == 0;
-        if (!all_zero)
-            ++nonzero;
-    }
-    w.u32(nonzero);
-    for (uint32_t p = 0; p < pages; ++p) {
-        const uint32_t off = p * SnapPage;
-        const uint32_t len = std::min<uint32_t>(
-            SnapPage, static_cast<uint32_t>(data_.size()) - off);
-        bool all_zero = true;
-        for (uint32_t i = 0; i < len && all_zero; ++i)
-            all_zero = data_[off + i] == 0;
-        if (all_zero)
-            continue;
+    std::vector<uint32_t> nonzero;
+    for (uint32_t p = 0; p < pages; ++p)
+        if (std::memcmp(data_.data() + size_t{p} * SnapPage, zeroPage,
+                        pageLen(p)) != 0)
+            nonzero.push_back(p);
+
+    w.u32(size);
+    w.u32(static_cast<uint32_t>(nonzero.size()));
+    for (uint32_t p : nonzero) {
         w.u32(p);
-        w.bytes(data_.data() + off, len);
+        w.bytes(data_.data() + size_t{p} * SnapPage, pageLen(p));
     }
 }
 

@@ -50,33 +50,49 @@ getMeta(ByteReader &r)
 
 } // namespace
 
+void
+SnapshotWriter::encode(const Sink &put) const
+{
+    // The CRC chains over each piece as it goes out, so the container
+    // never has to exist as one buffer.
+    uint32_t crc = 0;
+    auto emit = [&](const uint8_t *p, size_t n) {
+        crc = crc32(p, n, crc);
+        put(p, n);
+    };
+
+    ByteWriter head;
+    head.bytes(Magic, sizeof(Magic));
+    head.u32(FormatVersion);
+    putMeta(head, meta_);
+    head.u32(static_cast<uint32_t>(sections_.size()));
+    emit(head.data().data(), head.size());
+    for (const auto &[name, payload] : sections_) {
+        ByteWriter prefix;
+        prefix.str(name);
+        prefix.u64(payload.size());
+        emit(prefix.data().data(), prefix.size());
+        emit(payload.data(), payload.size());
+    }
+
+    ByteWriter tail;
+    tail.u32(crc);
+    put(tail.data().data(), tail.size());
+}
+
 std::vector<uint8_t>
 SnapshotWriter::finish() const
 {
-    ByteWriter w;
-    w.bytes(Magic, sizeof(Magic));
-    w.u32(FormatVersion);
-    putMeta(w, meta_);
-    w.u32(static_cast<uint32_t>(sections_.size()));
-    for (const auto &[name, payload] : sections_) {
-        w.str(name);
-        w.u64(payload.size());
-        w.bytes(payload.data(), payload.size());
-    }
-    std::vector<uint8_t> out = std::move(w).take();
-    const uint32_t crc = crc32(out.data(), out.size());
-    out.push_back(static_cast<uint8_t>(crc));
-    out.push_back(static_cast<uint8_t>(crc >> 8));
-    out.push_back(static_cast<uint8_t>(crc >> 16));
-    out.push_back(static_cast<uint8_t>(crc >> 24));
+    std::vector<uint8_t> out;
+    encode([&out](const uint8_t *p, size_t n) {
+        out.insert(out.end(), p, p + n);
+    });
     return out;
 }
 
 void
 SnapshotWriter::writeFile(const std::string &path) const
 {
-    const std::vector<uint8_t> bytes = finish();
-
     std::error_code ec;
     const fs::path target(path);
     if (target.has_parent_path())
@@ -90,8 +106,10 @@ SnapshotWriter::writeFile(const std::string &path) const
         if (!out)
             sim_throw(SnapshotError, "cannot open '%s' for writing: %s",
                       tmp.c_str(), std::strerror(errno));
-        out.write(reinterpret_cast<const char *>(bytes.data()),
-                  static_cast<std::streamsize>(bytes.size()));
+        encode([&out](const uint8_t *p, size_t n) {
+            out.write(reinterpret_cast<const char *>(p),
+                      static_cast<std::streamsize>(n));
+        });
         out.flush();
         if (!out)
             sim_throw(SnapshotError, "short write to '%s': %s",

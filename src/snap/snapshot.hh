@@ -39,6 +39,7 @@
 #define UPC780_SNAP_SNAPSHOT_HH
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -92,11 +93,20 @@ class SnapshotWriter
     /**
      * Write the container to @p path atomically (temp file + rename),
      * creating parent directories as needed, so a crash mid-write
-     * never leaves a half-written snapshot under the final name.
+     * never leaves a half-written snapshot under the final name. The
+     * pieces stream straight into the file: the bytes equal finish()'s
+     * without the container ever being copied into one buffer.
      */
     void writeFile(const std::string &path) const;
 
   private:
+    using Sink = std::function<void(const uint8_t *, size_t)>;
+
+    /** The one container encoding: hands @p put the header, each
+     *  section's name/size prefix and payload, then the CRC, in file
+     *  order. finish() and writeFile() differ only in the sink. */
+    void encode(const Sink &put) const;
+
     SnapshotMeta meta_;
     std::vector<std::pair<std::string, std::vector<uint8_t>>> sections_;
 };

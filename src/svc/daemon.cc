@@ -1,6 +1,7 @@
 #include "svc/daemon.hh"
 
 #include <algorithm>
+#include <filesystem>
 #include <utility>
 
 #include "common/logging.hh"
@@ -557,8 +558,17 @@ Daemon::runJob(const Queued &q)
         reply = errorReply(errorTypeName(e), e.what());
     }
 
-    if (ok)
+    if (ok) {
         cache_.put(key, reply);
+        // The reply is durable in the cache now, so the job's spool
+        // (checkpoints and `.result` files) can never be resumed from
+        // again. A drained or failed job keeps its spool for resume.
+        if (!cfg_.spoolDir.empty()) {
+            std::error_code ec;
+            std::filesystem::remove_all(
+                std::filesystem::path(cfg_.spoolDir) / key, ec);
+        }
+    }
     {
         std::lock_guard<std::mutex> lock(mu_);
         if (ok)

@@ -61,7 +61,9 @@ struct DaemonConfig
     /**
      * Spool directory for in-flight jobs: each job checkpoints into
      * `<spoolDir>/<cacheKey>` and resumes from it after a drain or a
-     * crash. Empty disables checkpoint/resume entirely.
+     * crash. A job that succeeds removes its spool once the reply is
+     * cached (before the reply is sent); a drained or failed one
+     * keeps it. Empty disables checkpoint/resume entirely.
      */
     std::string spoolDir;
 

@@ -1,5 +1,6 @@
 #include "svc/server.hh"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -36,31 +37,6 @@ sendLine(int fd, const std::string &line)
     return true;
 }
 
-/** Read one '\n'-terminated line (newline stripped); false on EOF
- *  before any byte or on error/overflow. A request larger than the
- *  JSON parser's own input cap is cut off here. */
-bool
-recvLine(int fd, std::string &line, size_t maxBytes = 8u << 20)
-{
-    line.clear();
-    char c;
-    for (;;) {
-        const ssize_t n = ::recv(fd, &c, 1, 0);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        if (n == 0)
-            return !line.empty(); // EOF can terminate the last line
-        if (c == '\n')
-            return true;
-        if (line.size() >= maxBytes)
-            return false;
-        line.push_back(c);
-    }
-}
-
 sockaddr_un
 makeAddr(const std::string &path)
 {
@@ -75,6 +51,50 @@ makeAddr(const std::string &path)
 }
 
 } // namespace
+
+bool
+LineReader::next(std::string &line)
+{
+    // Bytes read per recv(): a typical reply or event line arrives in
+    // one call, and the buffer grows only as far as the longest line.
+    constexpr size_t Chunk = 16u << 10;
+    line.clear();
+    for (;;) {
+        const size_t nl = buf_.find('\n', pos_ + scan_);
+        if (nl != std::string::npos) {
+            if (nl - pos_ > max_)
+                return false;
+            line.assign(buf_, pos_, nl - pos_);
+            pos_ = nl + 1;
+            scan_ = 0;
+            return true;
+        }
+        scan_ = buf_.size() - pos_;
+        if (scan_ > max_)
+            return false;
+        buf_.erase(0, pos_);
+        pos_ = 0;
+
+        const size_t have = buf_.size();
+        buf_.resize(have + Chunk);
+        ssize_t n = -1;
+        do
+            n = ::recv(fd_, buf_.data() + have, Chunk, 0);
+        while (n < 0 && errno == EINTR);
+        buf_.resize(have + static_cast<size_t>(std::max<ssize_t>(n, 0)));
+        if (n < 0)
+            return false;
+        if (n == 0) {
+            // EOF can terminate the last line.
+            if (buf_.empty() || buf_.size() > max_)
+                return false;
+            line.swap(buf_);
+            buf_.clear();
+            scan_ = 0;
+            return true;
+        }
+    }
+}
 
 Server::Server(Daemon &daemon, std::string socketPath)
     : daemon_(daemon), path_(std::move(socketPath))
@@ -127,14 +147,14 @@ Server::stop()
     }
     if (acceptThread_.joinable())
         acceptThread_.join();
-    std::vector<std::thread> conns;
+    std::vector<std::unique_ptr<Connection>> conns;
     {
         std::lock_guard<std::mutex> lock(connMu_);
         conns.swap(connections_);
     }
-    for (std::thread &t : conns)
-        if (t.joinable())
-            t.join();
+    for (const auto &c : conns)
+        if (c->thread.joinable())
+            c->thread.join();
 }
 
 void
@@ -155,8 +175,22 @@ Server::acceptLoop()
             return;
         }
         std::lock_guard<std::mutex> lock(connMu_);
-        connections_.emplace_back(
-            [this, fd] { handleConnection(fd); });
+        // Join the handlers that have returned, so a long-lived
+        // daemon holds threads (and their stacks) only for the
+        // connections still open.
+        std::erase_if(connections_, [](const auto &c) {
+            if (!c->done.load())
+                return false;
+            c->thread.join();
+            return true;
+        });
+        auto conn = std::make_unique<Connection>();
+        Connection *raw = conn.get();
+        conn->thread = std::thread([this, fd, raw] {
+            handleConnection(fd);
+            raw->done.store(true);
+        });
+        connections_.push_back(std::move(conn));
     }
 }
 
@@ -164,7 +198,7 @@ void
 Server::handleConnection(int fd)
 {
     std::string line;
-    if (!recvLine(fd, line)) {
+    if (!LineReader(fd).next(line)) {
         ::close(fd);
         return;
     }
@@ -220,8 +254,9 @@ requestOverSocket(const std::string &socketPath,
 
     // Every line with an "event" member is progress; the first line
     // without one is the reply and ends the exchange.
+    LineReader reader(fd);
     std::string line;
-    while (recvLine(fd, line)) {
+    while (reader.next(line)) {
         bool isEvent = false;
         try {
             isEvent = json::parse(line).find("event") != nullptr;

@@ -29,6 +29,8 @@
 #define UPC780_SVC_SERVER_HH
 
 #include <atomic>
+#include <cstddef>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -38,6 +40,37 @@
 
 namespace upc780::svc
 {
+
+/**
+ * Buffered '\n'-framed line reader over one stream socket. It reads
+ * the socket a chunk at a time into a heap buffer, so a line costs a
+ * few recv() calls however long it is, and bytes past one line stay
+ * buffered for the next.
+ */
+class LineReader
+{
+  public:
+    /** The default cap: the JSON parser's own input limit. */
+    static constexpr size_t MaxLineBytes = 8u << 20;
+
+    explicit LineReader(int fd, size_t maxBytes = MaxLineBytes)
+        : fd_(fd), max_(maxBytes)
+    {}
+
+    /**
+     * Read the next line into @p line (newline stripped). Returns
+     * false on EOF before any byte of a line, on a socket error, or
+     * when a line runs past the cap; EOF may end the last line.
+     */
+    bool next(std::string &line);
+
+  private:
+    int fd_;
+    size_t max_;
+    std::string buf_;
+    size_t pos_ = 0;  //!< start of the unread bytes in buf_
+    size_t scan_ = 0; //!< bytes from pos_ known to hold no '\n'
+};
 
 /** Serves one Daemon on one Unix-domain socket. */
 class Server
@@ -63,6 +96,13 @@ class Server
     const std::string &socketPath() const { return path_; }
 
   private:
+    /** One connection handler thread; done is set as it returns. */
+    struct Connection
+    {
+        std::thread thread;
+        std::atomic<bool> done{false};
+    };
+
     void acceptLoop();
     void handleConnection(int fd);
 
@@ -72,7 +112,9 @@ class Server
     std::atomic<bool> stopping_{false};
     std::thread acceptThread_;
     std::mutex connMu_;
-    std::vector<std::thread> connections_;
+    /** Live handlers; acceptLoop joins the finished ones as it goes,
+     *  stop() the rest. */
+    std::vector<std::unique_ptr<Connection>> connections_;
 };
 
 /**

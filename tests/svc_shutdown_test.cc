@@ -188,18 +188,34 @@ TEST(Shutdown, DrainPersistsCompletedWorkloadsAndRestartResumes)
 
     // Restart over the same cache + spool: the composite resumes from
     // the spooled result (it is loaded, not re-run) and the final
-    // reply is byte-identical to the never-interrupted daemon's.
+    // reply is byte-identical to the never-interrupted daemon's. A
+    // successful job removes its spool before replying, so the spool
+    // is inspected from the progress observer, which runs after each
+    // workload's `.result` is persisted.
     cfg.workers = 0;
     svc::Daemon reborn(cfg);
-    const std::string resumed = runToReply(reborn, request);
+    bool sawLastWorkload = false;
+    auto spoolCheck = [&](const svc::json::Value &ev) {
+        if (eventType(ev) != "progress" ||
+            ev.find("completed")->asUint() != ev.find("total")->asUint())
+            return;
+        sawLastWorkload = true;
+        EXPECT_EQ(fileBytes(firstResultFile), firstResultBytes)
+            << "resume re-ran (rewrote) the already-completed workload";
+        // All five workloads are spooled now.
+        EXPECT_EQ(resultFilesIn(fs::path(cfg.spoolDir) / key).size(), 5u);
+    };
+    svc::JobHandle h = reborn.submit(request, spoolCheck);
+    while (reborn.runQueuedOnce()) {
+    }
+    const std::string resumed = h.wait();
     ASSERT_TRUE(replyOk(resumed)) << resumed;
     EXPECT_EQ(resumed, cleanReply)
         << "resume after drain changed the reply bytes";
     EXPECT_EQ(reborn.stats().engineRuns, 1u);
-    EXPECT_EQ(fileBytes(firstResultFile), firstResultBytes)
-        << "resume re-ran (rewrote) the already-completed workload";
-    // All five workloads are spooled now.
-    EXPECT_EQ(resultFilesIn(fs::path(cfg.spoolDir) / key).size(), 5u);
+    EXPECT_TRUE(sawLastWorkload);
+    EXPECT_FALSE(fs::exists(fs::path(cfg.spoolDir) / key))
+        << "a successful job left its spool behind";
 }
 
 TEST(Shutdown, QueuedJobsFlushedWithTypedErrors)

@@ -325,13 +325,32 @@ TEST(Daemon, ChaosCrashRecoversToCleanRunBytes)
     cfg.spoolEveryCycles = 8000;
     cfg.chaosCrashCycles = {20000};
     svc::Daemon chaotic(cfg);
-    const std::string recovered = runToReply(chaotic, request);
+    const std::string key = chaotic.keyFor(request);
+    const fs::path spool = chaosRoot / "spool" / key;
+    // The crash really happened: the spool holds checkpoints. A
+    // successful job removes its spool before replying, so look from
+    // the progress observer, which runs once the workload is done.
+    bool sawProgress = false;
+    auto spoolCheck = [&](const svc::json::Value &ev) {
+        if (ev.find("event")->asString() != "progress")
+            return;
+        sawProgress = true;
+        size_t checkpoints = 0;
+        for (const auto &e : fs::directory_iterator(spool))
+            checkpoints += e.path().extension() == ".ckpt";
+        EXPECT_GE(checkpoints, 1u);
+    };
+    svc::JobHandle h = chaotic.submit(request, spoolCheck);
+    while (chaotic.runQueuedOnce()) {
+    }
+    const std::string recovered = h.wait();
     ASSERT_TRUE(replyOk(recovered)) << recovered;
 
     EXPECT_EQ(cleanReply, recovered)
         << "crash recovery changed the reply bytes";
-    // The crash really happened: the spool holds checkpoints.
-    EXPECT_FALSE(fs::is_empty(chaosRoot / "spool"));
+    EXPECT_TRUE(sawProgress);
+    EXPECT_FALSE(fs::exists(spool))
+        << "a successful job left its spool behind";
 }
 
 TEST(Daemon, MultiClientHammerBitIdenticalToSerial)
