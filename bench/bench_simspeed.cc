@@ -138,9 +138,10 @@ BENCHMARK(BM_BareMachineRun);
 void
 BM_BareMachineRunWithMonitor(benchmark::State &state)
 {
-    // A passive probe forces the per-cycle pad path (every pad upc
-    // must be observed), so this isolates the dispatch win from the
-    // pad-skip win.
+    // The UPC monitor takes leaped pad and stall windows through its
+    // batched probe entries, so this is the monitored path the
+    // experiment harness runs; compare with BareMachineRun for the
+    // cost of observing every cycle.
     cpu::Vax780 machine;
     loadBareLoop(machine);
     upc::UpcMonitor monitor;

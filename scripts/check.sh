@@ -84,6 +84,14 @@ UPC780_LOG_LEVEL=quiet "$BUILD/examples/paper_report" 6000 --jobs 4 \
 cmp "$BUILD/report-serial.txt" "$BUILD/report-jobs4.txt"
 echo "identical"
 
+echo "== monitored leap is byte-identical to the per-cycle path =="
+# The monitor and watchdog take leaped windows as batches; forcing
+# every cycle through them (UPC780_NOLEAP) must render the same report.
+UPC780_NOLEAP=1 UPC780_LOG_LEVEL=quiet "$BUILD/examples/paper_report" \
+    6000 --jobs 1 > "$BUILD/report-noleap.txt"
+cmp "$BUILD/report-serial.txt" "$BUILD/report-noleap.txt"
+echo "identical"
+
 echo "== crash + restore reproduces the report, serial and parallel =="
 # Each workload suffers a scripted harness crash at cycle 30000 and
 # must come back from its cycle-30000 checkpoint; both the 1-worker

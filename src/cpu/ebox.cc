@@ -1,5 +1,7 @@
 #include "cpu/ebox.hh"
 
+#include <algorithm>
+
 #include "common/bitfield.hh"
 #include "common/error.hh"
 #include "common/logging.hh"
@@ -1533,13 +1535,17 @@ Ebox::backdoorRead(VAddr va, uint32_t n) const
     if (!mapEnabled_)
         return memsys_.memory().read(va, n);
     uint64_t v = 0;
-    // Translate page by page (accesses may cross a page boundary).
-    for (uint32_t i = 0; i < n; ++i) {
-        auto pa = mmu::walk(memsys_.memory(), map_, va + i);
+    // Translate once per page (accesses may cross a page boundary).
+    for (uint32_t i = 0; i < n;) {
+        const VAddr a = va + i;
+        auto pa = mmu::walk(memsys_.memory(), map_, a);
         if (!pa)
-            sim_throw(GuestError, "backdoor read of unmapped VA 0x%08x", va + i);
-        v |= static_cast<uint64_t>(memsys_.memory().readByte(*pa))
-             << (8 * i);
+            sim_throw(GuestError, "backdoor read of unmapped VA 0x%08x", a);
+        const uint32_t end =
+            std::min(n, i + mmu::PageBytes - a % mmu::PageBytes);
+        for (PAddr p = *pa; i < end; ++i, ++p)
+            v |= static_cast<uint64_t>(memsys_.memory().readByte(p))
+                 << (8 * i);
     }
     return v;
 }
@@ -1551,11 +1557,15 @@ Ebox::backdoorWrite(VAddr va, uint32_t n, uint64_t v)
         memsys_.memory().write(va, n, v);
         return;
     }
-    for (uint32_t i = 0; i < n; ++i) {
-        auto pa = mmu::walk(memsys_.memory(), map_, va + i);
+    for (uint32_t i = 0; i < n;) {
+        const VAddr a = va + i;
+        auto pa = mmu::walk(memsys_.memory(), map_, a);
         if (!pa)
-            sim_throw(GuestError, "backdoor write of unmapped VA 0x%08x", va + i);
-        memsys_.memory().writeByte(*pa, static_cast<uint8_t>(v >> (8 * i)));
+            sim_throw(GuestError, "backdoor write of unmapped VA 0x%08x", a);
+        const uint32_t end =
+            std::min(n, i + mmu::PageBytes - a % mmu::PageBytes);
+        for (PAddr p = *pa; i < end; ++i, ++p)
+            memsys_.memory().writeByte(p, static_cast<uint8_t>(v >> (8 * i)));
     }
 }
 

@@ -137,10 +137,13 @@ class Ebox
      * only effect is advancing the micro-PC, so this is n padCycle()
      * calls; the caller is responsible for the per-cycle machine
      * plumbing those cycles would otherwise see (valid only when that
-     * plumbing is provably no-op, e.g. a quiescent IBox and no
-     * probes/devices).
+     * plumbing is provably no-op or batched, e.g. a quiescent IBox,
+     * batched probes and lazily ticked devices).
      */
     void padSkip(uint32_t n) { upc_ = static_cast<ucode::UAddr>(upc_ + n); }
+
+    /** Current micro-PC: the next pad word, or the stalled word. */
+    ucode::UAddr upc() const { return upc_; }
 
     /**
      * Remaining read/write stall cycles: cycles the EBOX would spend
@@ -157,7 +160,7 @@ class Ebox
      * Absorb @p n stall cycles at once (n <= stallRun()). Equivalent
      * to n stalled cycle() calls minus the obs classification, which
      * the caller batches; valid only when the per-cycle machine
-     * plumbing is provably no-op for those cycles.
+     * plumbing is provably no-op or batched for those cycles.
      */
     void stallSkip(uint64_t n) { stallRemaining_ -= n; }
 

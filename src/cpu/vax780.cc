@@ -38,6 +38,13 @@ Vax780::Vax780(const MachineConfig &config)
 {
     ebox_.setInterruptController(this);
     ebox_.setDecodeDeliversFirstOperand(config.rmodeDecode);
+    // Debug/measurement escape hatch, read once per machine:
+    // UPC780_NOLEAP=1 forces the per-cycle path even under threaded
+    // dispatch, isolating the dispatcher's contribution from the leap
+    // engine's (the two are bit-identical, so this only changes
+    // wall-clock speed).
+    noLeap_ = std::getenv("UPC780_NOLEAP") != nullptr;
+    refreshLeap();
 }
 
 const ucode::MicrocodeImage &
@@ -53,6 +60,14 @@ Vax780::attachFaultInjector(fault::FaultInjector *inj)
     memsys_.setFaultInjector(inj);
     tb_.setFaultInjector(inj);
     ebox_.setFaultInjector(inj);
+    refreshLeap();
+}
+
+void
+Vax780::attachProbe(CycleProbe *p)
+{
+    probes_.push_back(p);
+    refreshLeap();
 }
 
 void
@@ -60,11 +75,32 @@ Vax780::detachProbe(CycleProbe *p)
 {
     probes_.erase(std::remove(probes_.begin(), probes_.end(), p),
                   probes_.end());
+    refreshLeap();
+}
+
+void
+Vax780::addDevice(Device *d)
+{
+    // Bring the existing devices current first: the newcomer's first
+    // tick belongs to the next cycle, not to a catch-up.
+    syncDevices();
+    devices_.push_back(d);
+    refreshLeap();
+}
+
+void
+Vax780::refreshLeap()
+{
+    // Leaving lazy ticking: bring the devices current first, so the
+    // per-cycle path resumes from exactly the per-cycle state.
+    syncDevices();
+    leap_ = leapEligible();
 }
 
 bool
 Vax780::highestPending(uint32_t &level, uint32_t &vector)
 {
+    syncDevices();
     uint32_t best_level = 0, best_vector = 0;
     for (Device *d : devices_) {
         uint32_t l = 0, v = 0;
@@ -83,6 +119,7 @@ Vax780::highestPending(uint32_t &level, uint32_t &vector)
 void
 Vax780::acknowledge(uint32_t level)
 {
+    syncDevices();
     for (Device *d : devices_) {
         uint32_t l = 0, v = 0;
         if (d->requesting(l, v) && l == level) {
@@ -117,9 +154,12 @@ Vax780::tickOut()
     // it runs concurrently with EBOX stalls.
     ibox_.startFill(cycles_);
 
-    // Devices advance.
-    for (Device *d : devices_)
-        d->tick(cycles_);
+    // Devices advance (lazily ticked ones catch up on demand).
+    if (!leap_) {
+        for (Device *d : devices_)
+            d->tick(cycles_);
+        devicesAt_ = cycles_ + 1;
+    }
 
     ++cycles_;
     return out;
@@ -128,27 +168,28 @@ Vax780::tickOut()
 bool
 Vax780::tick()
 {
-    return !tickOut().halted;
+    const bool running = !tickOut().halted;
+    syncDevices();
+    return running;
 }
 
 bool
 Vax780::leapEligible() const
 {
     // Leaps elide per-cycle work, so everything that observes or
-    // perturbs individual cycles disqualifies them: probes want every
+    // perturbs individual cycles without a batched equivalent
+    // disqualifies them: probes that are not leapable() want every
     // (upc, stalled) pair, fault injectors match on exact cycle
     // numbers, non-batchable devices may depend on being ticked each
     // cycle, and the switch dispatcher stays a pristine per-cycle
     // reference for the dual-dispatch differential tests.
-    // Debug/measurement escape hatch: UPC780_NOLEAP=1 forces the
-    // per-cycle path even under threaded dispatch, isolating the
-    // dispatcher's contribution from the leap engine's (the two are
-    // bit-identical, so this only changes wall-clock speed).
-    if (std::getenv("UPC780_NOLEAP"))
-        return false;
-    if (fault_ != nullptr || !probes_.empty() ||
+    if (noLeap_ || fault_ != nullptr ||
         ebox_.dispatchMode() != ucode::DispatchMode::Threaded)
         return false;
+    for (const CycleProbe *p : probes_) {
+        if (!p->leapable())
+            return false;
+    }
     for (const Device *d : devices_) {
         if (!d->tickBatchable())
             return false;
@@ -174,7 +215,7 @@ Vax780::runBatch(uint64_t budget, bool stop_at_instruction)
 {
     uint64_t done = 0;
     const uint64_t insns = ebox_.instructions();
-    const bool leap = leapEligible();
+    const bool leap = leap_;
     while (done < budget) {
         // Micro-trace cache: a validated run of pad words needs no
         // dispatch, no IB bytes and no datapath work — only the
@@ -188,18 +229,22 @@ Vax780::runBatch(uint64_t budget, bool stop_at_instruction)
             uint64_t i = 0;
             while (i < pads) {
                 // While the IBox is frozen, the remaining pad cycles
-                // have no effect beyond the micro-PC and the clock —
-                // skip to the IBox's next event (or the run's end)
-                // in O(1) and let batchable devices catch up.
+                // have no effect beyond the micro-PC, the probes'
+                // observations and the clock — skip to the IBox's
+                // next event (or the run's end) in O(1), handing the
+                // probes the whole address run at once.
                 uint64_t ev;
                 if (leap && (ev = ibox_.nextEventAt(cycles_)) > cycles_) {
                     uint64_t n = pads - i;
                     if (ev - cycles_ < n)
                         n = ev - cycles_;
+                    const ucode::UAddr first = ebox_.upc();
                     ebox_.padSkip(static_cast<uint32_t>(n));
+                    for (CycleProbe *p : probes_)
+                        p->padCycles(first, n);
                     cycles_ += n;
+                    leaped_ += n;
                     i += n;
-                    catchUpDevices(cycles_ - 1);
                     continue;
                 }
                 // Per-cycle while anything per-cycle can still
@@ -210,8 +255,11 @@ Vax780::runBatch(uint64_t budget, bool stop_at_instruction)
                 for (CycleProbe *p : probes_)
                     p->cycle(out.upc, false);
                 ibox_.startFill(cycles_);
-                for (Device *d : devices_)
-                    d->tick(cycles_);
+                if (!leap_) {
+                    for (Device *d : devices_)
+                        d->tick(cycles_);
+                    devicesAt_ = cycles_ + 1;
+                }
                 ++cycles_;
                 ++i;
             }
@@ -223,7 +271,8 @@ Vax780::runBatch(uint64_t budget, bool stop_at_instruction)
         // Memory-stall window: the EBOX does nothing but decrement
         // its stall counter until it reaches zero, so while the IBox
         // is frozen those cycles are pure clock advancement. Each
-        // would have been classified as an EboxStallCycle.
+        // would have been classified as an EboxStallCycle and seen by
+        // the probes at the stalled micro-address.
         if (leap) {
             uint64_t stall = ebox_.stallRun();
             if (stall > 0) {
@@ -234,10 +283,12 @@ Vax780::runBatch(uint64_t budget, bool stop_at_instruction)
                         n = ev - cycles_;
                     if (n > 0) {
                         ebox_.stallSkip(n);
+                        for (CycleProbe *p : probes_)
+                            p->cycles(ebox_.upc(), true, n);
                         cycles_ += n;
+                        leaped_ += n;
                         done += n;
                         obs::emitStallCycles(n);
-                        catchUpDevices(cycles_ - 1);
                         continue;
                     }
                 }
@@ -245,11 +296,13 @@ Vax780::runBatch(uint64_t budget, bool stop_at_instruction)
         }
 
         CycleOut out = tickOut();
-        if (out.halted)
+        if (out.halted) {
+            syncDevices();
             return done;  // the halting cycle is not counted, as in run()
+        }
         ++done;
         if (stop_at_instruction && ebox_.instructions() != insns)
-            return done;
+            break;
 
         // IB-starved stall window: the cycle just executed re-failed
         // an IB gate without consuming or producing anything, and
@@ -263,13 +316,18 @@ Vax780::runBatch(uint64_t budget, bool stop_at_instruction)
                 uint64_t n = budget - done;
                 if (ev - cycles_ < n)
                     n = ev - cycles_;
+                for (CycleProbe *p : probes_)
+                    p->cycles(out.upc, false, n);
                 cycles_ += n;
+                leaped_ += n;
                 done += n;
                 obs::emitIbStallCycles(n);
-                catchUpDevices(cycles_ - 1);
             }
         }
     }
+    // Checkpoints and callers between batches see per-cycle device
+    // state.
+    syncDevices();
     return done;
 }
 
@@ -287,6 +345,9 @@ void
 Vax780::deserialize(ByteReader &r)
 {
     cycles_ = r.u64();
+    // Attached devices are restored by their owner to their state at
+    // this cycle.
+    devicesAt_ = cycles_;
     memsys_.deserialize(r);
     tb_.deserialize(r);
     ibox_.deserialize(r);

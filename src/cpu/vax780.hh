@@ -27,12 +27,42 @@ namespace upc780::cpu
  * sees the control-store address of each cycle and whether it was a
  * read/write-stalled cycle — nothing else, matching the visibility of
  * the paper's hardware monitor.
+ *
+ * Batched entry: the idle-leap engine in Vax780::runBatch delivers a
+ * provably idle window of n cycles in one call instead of n cycle()
+ * calls — cycles() for a run of identical (upc, stalled) pairs (a
+ * memory-stall or IB-stall window), padCycles() for a pad superblock
+ * (addresses first_upc, first_upc + 1, ..., never stalled). The
+ * defaults replay the window through cycle(), so every probe is
+ * correct under batching; a probe that implements both forms so they
+ * leave it in exactly the state n cycle() calls would opts in with
+ * leapable(). One probe that does not opt in keeps the whole machine
+ * on the per-cycle path.
  */
 class CycleProbe
 {
   public:
     virtual ~CycleProbe() = default;
     virtual void cycle(ucode::UAddr upc, bool stalled) = 0;
+
+    /** @p n consecutive cycles, each observing (upc, stalled). */
+    virtual void
+    cycles(ucode::UAddr upc, bool stalled, uint64_t n)
+    {
+        for (uint64_t i = 0; i < n; ++i)
+            cycle(upc, stalled);
+    }
+
+    /** @p n unstalled pad cycles at first_upc, first_upc + 1, .... */
+    virtual void
+    padCycles(ucode::UAddr first_upc, uint64_t n)
+    {
+        for (uint64_t i = 0; i < n; ++i)
+            cycle(static_cast<ucode::UAddr>(first_upc + i), false);
+    }
+
+    /** True if cycles()/padCycles() are exact batches (see above). */
+    virtual bool leapable() const { return false; }
 };
 
 /** A bus device that can request interrupts. */
@@ -40,7 +70,7 @@ class Device
 {
   public:
     virtual ~Device() = default;
-    /** Advance device state to @p now (called every machine cycle). */
+    /** Advance device state to @p now (see tickBatchable()). */
     virtual void tick(uint64_t now) = 0;
     /** Interrupt request: fill level/vector if requesting. */
     virtual bool requesting(uint32_t &level, uint32_t &vector) = 0;
@@ -50,16 +80,19 @@ class Device
     /**
      * Catch-up contract: a batchable device promises that one
      * tick(T) call observes exactly the state per-cycle ticks
-     * tick(T0)...tick(T) would have produced — its evolution depends
-     * only on the current cycle number, never on being called each
-     * cycle. The idle-leap engine in Vax780::runBatch may then skip
-     * its per-cycle ticks across a provably idle window [C, C+n) and
-     * issue a single tick(C+n-1) afterwards. The EBOX samples
-     * requesting() only at instruction boundaries (inside executed
-     * uops, never during idle windows), so a request that would have
-     * been raised mid-window is still seen at the same cycle it
-     * would first have been acted upon. Devices that need to be
-     * called every cycle keep the default.
+     * tick(T0)...tick(T) would have produced — its evolution between
+     * acknowledge() calls depends only on the current cycle number,
+     * never on being called each cycle. While the machine may leap
+     * (Vax780::runBatch), it then ticks batchable devices lazily:
+     * no per-cycle tick() at all, and one catch-up tick(C - 1) at
+     * cycle C whenever device state can be observed — before every
+     * requesting()/acknowledge() the EBOX triggers through
+     * Vax780::highestPending()/acknowledge(), wherever the owner
+     * calls Vax780::syncDevices() (the OS's terminal ISR before it
+     * drains due input), and at every runBatch()/tick() exit, so a
+     * checkpoint or an inspecting caller sees exactly the per-cycle
+     * state. Devices that need to be called every cycle keep the
+     * default, which also keeps the machine from leaping.
      */
     virtual bool tickBatchable() const { return false; }
 };
@@ -116,12 +149,18 @@ class Vax780 : public InterruptController
      * (threaded dispatch only; elsewhere this is a plain tick loop).
      * Three window classes are eligible — pad superblocks, memory
      * read/write stall windows and IB-starved stall windows — and a
-     * leap is taken only while the IBox is frozen (IBox::nextEventAt),
-     * no probes are attached, no fault injector is armed and every
-     * device honours the tickBatchable() catch-up contract; otherwise
-     * every cycle performs the full tick sequence, so the architected
-     * state, counter totals and event streams are bit-identical to
-     * tick()-stepping either way. Stops early once halted, or (with
+     * leap is taken only while the IBox is frozen (IBox::nextEventAt).
+     * Whether the machine may leap at all is decided when probes,
+     * devices or the fault injector change (leapEligible()): every
+     * probe must be leapable() and is handed each leaped window as one
+     * batched CycleProbe::cycles()/padCycles() call, every device must
+     * honour the tickBatchable() catch-up contract and is then ticked
+     * lazily, no fault injector may be armed, the dispatcher must be
+     * threaded and UPC780_NOLEAP must have been unset when the machine
+     * was built. Otherwise every cycle performs the full tick
+     * sequence. Either way the architected state, probe observations,
+     * counter totals and event streams are bit-identical to
+     * tick()-stepping. Stops early once halted, or (with
      * @p stop_at_instruction) as soon as the retired-instruction
      * count changes, so callers can re-evaluate per-instruction
      * conditions exactly. Returns cycles run; the halting cycle
@@ -139,12 +178,35 @@ class Vax780 : public InterruptController
     mem::MemorySubsystem &memsys() { return memsys_; }
     mmu::TranslationBuffer &tb() { return tb_; }
 
+    /**
+     * Cycles runBatch() has leaped rather than stepped (a statistic
+     * of this machine object: not serialized, zero when it never
+     * leaps).
+     */
+    uint64_t leapedCycles() const { return leaped_; }
+
     /** Attach a passive per-cycle probe (multiple allowed). */
-    void attachProbe(CycleProbe *p) { probes_.push_back(p); }
+    void attachProbe(CycleProbe *p);
     void detachProbe(CycleProbe *p);
 
     /** Register an interrupting device. */
-    void addDevice(Device *d) { devices_.push_back(d); }
+    void addDevice(Device *d);
+
+    /**
+     * Catch lazily ticked devices up to the current cycle (see
+     * Device::tickBatchable): call before observing device state from
+     * inside a cycle, e.g. from an OS-assist hook. A no-op when the
+     * devices are already current.
+     */
+    void
+    syncDevices()
+    {
+        if (devicesAt_ < cycles_) {
+            for (Device *d : devices_)
+                d->tick(cycles_ - 1);
+            devicesAt_ = cycles_;
+        }
+    }
 
     /**
      * Attach a fault injector to every fault site of the machine
@@ -172,14 +234,8 @@ class Vax780 : public InterruptController
     /** One machine cycle; the EBOX's CycleOut for the leap engine. */
     CycleOut tickOut();
 
-    /** Catch a skipped window's devices up to cycle @p last (the last
-     *  cycle whose per-cycle tick was elided). */
-    void
-    catchUpDevices(uint64_t last)
-    {
-        for (Device *d : devices_)
-            d->tick(last);
-    }
+    /** Recompute leap_ after probes, devices or the injector change. */
+    void refreshLeap();
 
     /** True when runBatch may leap idle windows (see runBatch). */
     bool leapEligible() const;
@@ -193,6 +249,14 @@ class Vax780 : public InterruptController
     std::vector<Device *> devices_;
     fault::FaultInjector *fault_ = nullptr;
     uint64_t cycles_ = 0;
+
+    /** UPC780_NOLEAP was set when this machine was built. */
+    bool noLeap_ = false;
+    /** Cached leapEligible(); also selects lazy device ticking. */
+    bool leap_ = false;
+    /** Devices have been ticked through cycle devicesAt_ - 1. */
+    uint64_t devicesAt_ = 0;
+    uint64_t leaped_ = 0;
 };
 
 } // namespace upc780::cpu

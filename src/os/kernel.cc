@@ -465,6 +465,9 @@ VmsLite::onTimerTick(cpu::Ebox &ebox)
 void
 VmsLite::onTermEvent(cpu::Ebox &ebox)
 {
+    // The terminal is ticked lazily while the machine leaps: bring its
+    // clock to this cycle before it decides which input is due.
+    machine_.syncDevices();
     auto pids = terminal_->drainDue();
     bool woke = false;
     for (int pid : pids) {

@@ -672,10 +672,11 @@ WorkloadRun::run()
     // Both loops advance the machine through Vax780::runBatch with
     // stop_at_instruction set: the loop conditions below can only
     // change at instruction-retire cycles, every cycle-scheduled
-    // trigger is a batch boundary (batchBudget), and pads batch through
-    // the micro-trace cache — so the trajectory is bit-identical to the
-    // historical one-tick-per-iteration loop while the harness runs
-    // per retire/trigger instead of per cycle.
+    // trigger is a batch boundary (batchBudget), pads batch through
+    // the micro-trace cache and idle windows leap through the monitor's
+    // and watchdog's batched probe entries — so the trajectory is
+    // bit-identical to the historical one-tick-per-iteration loop while
+    // the harness runs per retire/trigger instead of per cycle.
     if (phase_ == Phase::Warmup) {
         obs::ScopedTimer t(host_, obs::Phase::Warmup);
         while (machine_->ebox().instructions() <

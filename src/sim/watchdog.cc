@@ -35,6 +35,57 @@ Watchdog::cycle(ucode::UAddr upc, bool stalled)
     }
 }
 
+void
+Watchdog::cycles(ucode::UAddr upc, bool stalled, uint64_t n)
+{
+    if (n == 0)
+        return;
+    // Only the last TraceDepth samples survive in the ring; all are
+    // identical here, so fill that many slots from the head.
+    const uint64_t kept = n < TraceDepth ? n : TraceDepth;
+    for (uint64_t k = 0; k < kept; ++k)
+        trace_[(traceHead_ + k) % TraceDepth] = {upc, stalled};
+    traceHead_ = static_cast<uint32_t>((traceHead_ + n) % TraceDepth);
+    cycles_ += n;
+
+    if (stalled) {
+        stallRun_ += n;
+    } else {
+        stallRun_ = 0;
+        lastCommittedUpc_ = upc;
+        if (upc == img_.marks.decode) {
+            decodes_ += n;
+            cyclesAtLastDecode_ = cycles_;
+        }
+    }
+}
+
+void
+Watchdog::padCycles(ucode::UAddr first_upc, uint64_t n)
+{
+    if (n == 0)
+        return;
+    // Cycle k observes first_upc + k; only the last TraceDepth
+    // samples survive, each in the slot cycle() would have used.
+    const uint64_t c0 = cycles_;
+    for (uint64_t k = n > TraceDepth ? n - TraceDepth : 0; k < n; ++k)
+        trace_[(traceHead_ + k) % TraceDepth] = {
+            static_cast<ucode::UAddr>(first_upc + k), false};
+    traceHead_ = static_cast<uint32_t>((traceHead_ + n) % TraceDepth);
+    cycles_ += n;
+
+    stallRun_ = 0;
+    lastCommittedUpc_ = static_cast<ucode::UAddr>(first_upc + n - 1);
+    // A pad run is far shorter than the control store, so it passes
+    // the decode landmark at most once.
+    const uint64_t k =
+        static_cast<ucode::UAddr>(img_.marks.decode - first_upc);
+    if (k < n) {
+        ++decodes_;
+        cyclesAtLastDecode_ = c0 + k + 1;
+    }
+}
+
 bool
 Watchdog::expired() const
 {

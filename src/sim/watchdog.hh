@@ -52,6 +52,16 @@ class Watchdog : public cpu::CycleProbe
 
     // ----- passive probe ---------------------------------------------------
     void cycle(ucode::UAddr upc, bool stalled) override;
+    /**
+     * Exactly @p n cycle() calls: the progress counters, the stall run
+     * and the trace ring (its last min(n, TraceDepth) slots and a head
+     * advanced by n mod TraceDepth) end as they would per cycle, so
+     * the watchdog trips at the same poll and serializes the same
+     * bytes.
+     */
+    void cycles(ucode::UAddr upc, bool stalled, uint64_t n) override;
+    void padCycles(ucode::UAddr first_upc, uint64_t n) override;
+    bool leapable() const override { return true; }
 
     /**
      * Poll for a stuck condition. Call periodically (each tick is

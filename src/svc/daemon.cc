@@ -558,12 +558,22 @@ Daemon::runJob(const Queued &q)
         reply = errorReply(errorTypeName(e), e.what());
     }
 
+    bool cacheWriteFailed = false;
     if (ok) {
-        cache_.put(key, reply);
-        // The reply is durable in the cache now, so the job's spool
+        try {
+            cache_.put(key, reply);
+        } catch (const SnapshotError &e) {
+            // A full disk or a broken cache directory costs the cache
+            // entry, not the answer: the reply is still sent below.
+            cacheWriteFailed = true;
+            warn("upcd: job %s: result not cached: %s", key.c_str(),
+                 e.what());
+        }
+        // Once the reply is durable in the cache the job's spool
         // (checkpoints and `.result` files) can never be resumed from
-        // again. A drained or failed job keeps its spool for resume.
-        if (!cfg_.spoolDir.empty()) {
+        // again. A drained or failed job, or one whose reply could not
+        // be cached, keeps its spool for resume.
+        if (!cacheWriteFailed && !cfg_.spoolDir.empty()) {
             std::error_code ec;
             std::filesystem::remove_all(
                 std::filesystem::path(cfg_.spoolDir) / key, ec);
@@ -571,6 +581,8 @@ Daemon::runJob(const Queued &q)
     }
     {
         std::lock_guard<std::mutex> lock(mu_);
+        if (cacheWriteFailed)
+            ++stats_.cacheWriteFailures;
         if (ok)
             ++stats_.completed;
         else if (drained)

@@ -123,6 +123,9 @@ struct DaemonStats
     uint64_t singleFlightJoins = 0;
     uint64_t timeouts = 0;
     uint64_t drained = 0;     //!< jobs cut short by drain()
+    /** Computed replies the result cache failed to store (sent anyway;
+     *  the job's spool is kept, since the reply is not durable). */
+    uint64_t cacheWriteFailures = 0;
 };
 
 /** Progress-event observer (called on daemon/worker threads). */

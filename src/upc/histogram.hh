@@ -40,6 +40,8 @@ class Histogram
 
     void bumpCount(UAddr a) { ++counts_[a]; }
     void bumpStall(UAddr a) { ++stalls_[a]; }
+    void addCount(UAddr a, uint64_t n) { counts_[a] += n; }
+    void addStall(UAddr a, uint64_t n) { stalls_[a] += n; }
 
     uint64_t count(UAddr a) const { return counts_[a]; }
     uint64_t stall(UAddr a) const { return stalls_[a]; }

@@ -25,6 +25,32 @@ UpcMonitor::cycle(ucode::UAddr upc, bool stalled)
 }
 
 void
+UpcMonitor::cycles(ucode::UAddr upc, bool stalled, uint64_t n)
+{
+    if (!running_)
+        return;
+    observed_ += n;
+    obs::count(obs::Ev::UpcCycles, n);
+    if (stalled) {
+        histogram_.addStall(upc, n);
+        obs::count(obs::Ev::UpcStallCycles, n);
+    } else {
+        histogram_.addCount(upc, n);
+    }
+}
+
+void
+UpcMonitor::padCycles(ucode::UAddr first_upc, uint64_t n)
+{
+    if (!running_)
+        return;
+    observed_ += n;
+    obs::count(obs::Ev::UpcCycles, n);
+    for (uint64_t i = 0; i < n; ++i)
+        histogram_.bumpCount(static_cast<ucode::UAddr>(first_upc + i));
+}
+
+void
 UpcMonitor::writeCsr(uint16_t v)
 {
     if (v & static_cast<uint16_t>(Csr::Clear))

@@ -46,6 +46,11 @@ class UpcMonitor : public cpu::CycleProbe
 
     // ----- passive probe -------------------------------------------------
     void cycle(ucode::UAddr upc, bool stalled) override;
+    /** Exactly @p n cycle() calls: n added to one bucket. */
+    void cycles(ucode::UAddr upc, bool stalled, uint64_t n) override;
+    /** Exactly @p n pad cycle() calls: one added to n buckets. */
+    void padCycles(ucode::UAddr first_upc, uint64_t n) override;
+    bool leapable() const override { return true; }
 
     // ----- Unibus register-level facade -----------------------------------
     // The board was programmed with a CSR and a data port; this mirrors

@@ -7,8 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "arch/assembler.hh"
+#include "common/error.hh"
 #include "cpu/vax780.hh"
+#include "mmu/pagetable.hh"
+#include "mmu/prreg.hh"
 
 using namespace upc780;
 using namespace upc780::arch;
@@ -297,6 +302,107 @@ TEST(CpuTiming, CacheMissCausesReadStall)
     EXPECT_LT(c2 - c1, c1);
     EXPECT_EQ(m2.machine.memsys().cache().stats().dReadMisses.value(),
               1u);
+}
+
+/**
+ * A mapped machine for the untimed backdoor: system pages 0-2 of S0
+ * space map to frames 0x40, 0x20 and 0x50 (consecutive virtual pages,
+ * non-adjacent and out-of-order frames); page 3 is invalid.
+ */
+class MappedMachine
+{
+  public:
+    static constexpr VAddr S0 = 0x80000000;
+    static constexpr uint32_t Frames[] = {0x40, 0x20, 0x50};
+
+    MappedMachine()
+    {
+        const PAddr sbr = 0x10000;
+        auto &mem = machine.memsys().memory();
+        for (uint32_t i = 0; i < 3; ++i)
+            mem.write(sbr + 4 * i, 4, mmu::pte::make(Frames[i]));
+        mem.write(sbr + 12, 4, 0); // page 3: invalid PTE
+        Ebox &e = machine.ebox();
+        e.writePr(mmu::pr::SBR, sbr);
+        e.writePr(mmu::pr::SLR, 4);
+        e.writePr(mmu::pr::MAPEN, 1);
+    }
+
+    /** Physical address of byte @p off of virtual page @p page. */
+    static PAddr
+    pa(uint32_t page, uint32_t off)
+    {
+        return Frames[page] * mmu::PageBytes + off;
+    }
+
+    Vax780 machine;
+};
+
+// Backdoor accesses translate once per page; one that straddles a
+// page boundary must split at the boundary into each page's own frame.
+TEST(Backdoor, PageCrossingAccessesSplitAcrossFrames)
+{
+    for (uint32_t n : {2u, 4u, 8u}) {
+        for (uint32_t before = 1; before < n; ++before) {
+            MappedMachine mm;
+            auto &mem = mm.machine.memsys().memory();
+            Ebox &e = mm.machine.ebox();
+            const VAddr va = MappedMachine::S0 + mmu::PageBytes - before;
+            const uint64_t v = 0x8877665544332211ull &
+                               (n == 8 ? ~0ull : (1ull << (8 * n)) - 1);
+
+            e.backdoorWrite(va, n, v);
+            for (uint32_t i = 0; i < n; ++i) {
+                const PAddr pa =
+                    i < before
+                        ? MappedMachine::pa(0, mmu::PageBytes - before + i)
+                        : MappedMachine::pa(1, i - before);
+                EXPECT_EQ(mem.readByte(pa), static_cast<uint8_t>(v >> (8 * i)))
+                    << "n=" << n << " byte " << i;
+            }
+            EXPECT_EQ(e.backdoorRead(va, n), v) << "n=" << n;
+
+            // And reading bytes planted physically in both frames.
+            for (uint32_t i = 0; i < n; ++i) {
+                const PAddr pa =
+                    i < before
+                        ? MappedMachine::pa(0, mmu::PageBytes - before + i)
+                        : MappedMachine::pa(1, i - before);
+                mem.writeByte(pa, static_cast<uint8_t>(0xA0 + i));
+            }
+            uint64_t want = 0;
+            for (uint32_t i = 0; i < n; ++i)
+                want |= static_cast<uint64_t>(0xA0 + i) << (8 * i);
+            EXPECT_EQ(e.backdoorRead(va, n), want) << "n=" << n;
+        }
+    }
+}
+
+// An access whose second page is unmapped names the first unmapped
+// byte (va + i), not the access's start, in its GuestError.
+TEST(Backdoor, UnmappedSecondPageNamesFirstUnmappedByte)
+{
+    MappedMachine mm;
+    Ebox &e = mm.machine.ebox();
+    const VAddr va = MappedMachine::S0 + 3 * mmu::PageBytes - 3;
+    const std::string want = "0x80000600";
+    try {
+        e.backdoorRead(va, 8);
+        FAIL() << "read of an unmapped page did not throw";
+    } catch (const GuestError &err) {
+        EXPECT_NE(std::string(err.what()).find(want), std::string::npos)
+            << err.what();
+    }
+    try {
+        e.backdoorWrite(va, 4, 0xDEADBEEF);
+        FAIL() << "write to an unmapped page did not throw";
+    } catch (const GuestError &err) {
+        EXPECT_NE(std::string(err.what()).find(want), std::string::npos)
+            << err.what();
+    }
+    // The mapped prefix still reads, and the page 2 bytes written
+    // before the fault landed, as they did byte by byte.
+    EXPECT_EQ(e.backdoorRead(va, 3), 0xADBEEFu);
 }
 
 } // namespace

@@ -9,27 +9,27 @@
  * event counters, hardware counters, OS statistics, trace streams and
  * the rendered report must be byte-identical. A final lockstep test
  * pins the idle-leap engine itself: leaping and per-cycle threaded
- * execution must produce bit-identical serialized machine state.
+ * execution must produce bit-identical serialized machine state
+ * (leap_test.cc repeats the lockstep with the instruments attached).
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <cstring>
 #include <vector>
 
-#include "arch/assembler.hh"
-#include "common/serial.hh"
 #include "cpu/vax780.hh"
-#include "os/kernel.hh"
 #include "sim/experiment.hh"
 #include "ubench/ubench.hh"
 #include "upc/analyzer.hh"
 #include "upc/report.hh"
 #include "workload/profile.hh"
 
+#include "leap_scenario.hh"
+
 using namespace upc780;
 using namespace upc780::arch;
+using namespace upc780::leaptest;
 
 namespace
 {
@@ -159,70 +159,28 @@ INSTANTIATE_TEST_SUITE_P(
         return n;
     });
 
-namespace
-{
-
-os::ProcessImage
-counterProcess(uint32_t stamp)
-{
-    Assembler a(0);
-    VAddr entry = a.pc();
-    a.emit(Op::MOVL, {Operand::imm(stamp), Operand::reg(6)});
-    Label top = a.here();
-    a.emit(Op::ADDL2, {Operand::lit(1), Operand::abs(0x2000)});
-    a.emit(Op::MOVL, {Operand::reg(6), Operand::abs(0x2004)});
-    a.emitBr(Op::BRB, top);
-    auto bytes = a.finish();
-
-    os::ProcessImage img;
-    img.p0Image.assign(0x2100, 0);
-    std::copy(bytes.begin(), bytes.end(), img.p0Image.begin());
-    img.entry = entry;
-    img.p0Pages = 0x2100 / 512 + 8;
-    img.thinkMeanCycles = 50000;
-    return img;
-}
-
-std::vector<uint8_t>
-snapState(cpu::Vax780 &m)
-{
-    ByteWriter w;
-    m.serialize(w);
-    return w.take();
-}
-
-} // namespace
-
 // The idle-leap engine (pad superblocks, memory-stall windows,
-// IB-starved windows, batched device catch-up) must be bit-identical
+// IB-starved windows, lazily ticked devices) must be bit-identical
 // to per-cycle threaded execution. Run a full OS scenario — timer +
 // terminal devices, context switches, TB misses — in lockstep on two
-// machines, one leaping and one forced per-cycle via UPC780_NOLEAP,
-// and compare complete serialized machine state at every chunk
-// boundary.
+// machines, one leaping and one built under UPC780_NOLEAP, and
+// compare complete serialized machine state at every chunk boundary.
 TEST(DispatchLeap, LeapMatchesPerCycleStateExactly)
 {
-    cpu::MachineConfig mc;
-    mc.dispatch = cpu::MachineConfig::Dispatch::Threaded;
-    cpu::Vax780 leap(mc), ref(mc);
-    os::OsConfig cfg;
-    cfg.timerPeriodCycles = 2000;
-    cfg.quantumTicks = 2;
-    os::VmsLite vleap(leap, cfg), vref(ref, cfg);
-    for (os::VmsLite *v : {&vleap, &vref}) {
-        v->addProcess(counterProcess(1));
-        v->addProcess(counterProcess(2));
-        v->boot();
-    }
+    auto refMachine = threadedMachine(true);
+    auto leapMachine = threadedMachine(false);
+    cpu::Vax780 &ref = *refMachine, &leap = *leapMachine;
+    auto vref = bootTwoProcesses(ref);
+    auto vleap = bootTwoProcesses(leap);
 
     const uint64_t chunk = 4096;
     for (uint64_t t = 0; t < 300000; t += chunk) {
-        setenv("UPC780_NOLEAP", "1", 1);
         ref.run(chunk);
-        unsetenv("UPC780_NOLEAP");
         leap.run(chunk);
         ASSERT_EQ(snapState(ref), snapState(leap))
             << "diverged in chunk starting at cycle " << t;
     }
-    EXPECT_GT(vref.stats().contextSwitches, 5u);
+    EXPECT_GT(vref->stats().contextSwitches, 5u);
+    EXPECT_GT(leap.leapedCycles(), 0u);
+    EXPECT_EQ(ref.leapedCycles(), 0u);
 }

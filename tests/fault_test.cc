@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hh"
+#include "common/serial.hh"
 #include "fault/fault.hh"
 #include "mem/memory.hh"
 #include "sim/experiment.hh"
@@ -241,6 +242,56 @@ TEST(Watchdog, DetectsRunawayStall)
     wd.cycle(img.marks.decode + 1, true);
     EXPECT_TRUE(wd.expired());
     EXPECT_NE(wd.diagnostic().find("stall"), std::string::npos);
+}
+
+// The batched entry points the idle-leap engine drives must leave the
+// watchdog byte-identical to per-cycle delivery — progress counters,
+// stall run, and a trace ring whose head advanced by n mod 32 — and
+// trip at the same poll.
+TEST(Watchdog, BatchedEntriesMatchPerCycleBytes)
+{
+    const auto &img = ucode::microcodeImage();
+    sim::Watchdog ref(img, 1000000, 100), bat(img, 1000000, 100);
+    auto bytes = [](const sim::Watchdog &w) {
+        ByteWriter bw;
+        w.serialize(bw);
+        return bw.take();
+    };
+    struct Window
+    {
+        bool pad;
+        ucode::UAddr upc;
+        bool stalled;
+        uint64_t n;
+    };
+    const ucode::UAddr d = img.marks.decode;
+    ASSERT_GE(d, 1u);
+    const Window script[] = {
+        {false, d, false, 1},
+        {false, static_cast<ucode::UAddr>(d + 5), true, 5},
+        {false, img.marks.ibStallDecode, false, 40},
+        {true, static_cast<ucode::UAddr>(d - 1), false, 7}, // spans d
+        {true, 0x200, false, 45},
+        {false, d, false, 3},
+        {false, 0x300, true, 33},
+        {true, 0x400, false, 32},
+        {false, 0x300, true, 99},
+        {false, 0x300, true, 1}, // 100th consecutive stall: trips
+    };
+    for (const Window &w : script) {
+        for (uint64_t k = 0; k < w.n; ++k)
+            ref.cycle(w.pad ? static_cast<ucode::UAddr>(w.upc + k) : w.upc,
+                      w.stalled);
+        if (w.pad)
+            bat.padCycles(w.upc, w.n);
+        else
+            bat.cycles(w.upc, w.stalled, w.n);
+        ASSERT_EQ(bytes(ref), bytes(bat)) << "after a window of " << w.n;
+        ASSERT_EQ(ref.expired(), bat.expired());
+        ASSERT_EQ(ref.diagnostic(), bat.diagnostic());
+    }
+    EXPECT_EQ(bat.decodes(), 5u);
+    EXPECT_TRUE(bat.expired());
 }
 
 TEST(FaultConfig, BadConfigurationsThrow)

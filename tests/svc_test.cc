@@ -450,6 +450,41 @@ TEST(Daemon, CorruptCacheEntryHealsByRecompute)
     EXPECT_EQ(daemon.cacheStats().corruptDropped, 1u);
 }
 
+TEST(Daemon, CacheWriteFailureStillRepliesAndKeepsSpool)
+{
+    // A result cache that cannot store an entry (full disk, broken
+    // cache directory) costs the entry, never the reply or the daemon.
+    // Mode bits do not stop root, so break the directory by replacing
+    // it with a regular file after the daemon has started.
+    const fs::path cleanRoot = scratchDir("svc_cachefail_clean");
+    svc::Daemon clean(daemonConfig(cleanRoot));
+    const std::string cleanReply = runToReply(clean, SmallTs1);
+    ASSERT_TRUE(replyOk(cleanReply));
+
+    const fs::path root = scratchDir("svc_cachefail");
+    svc::DaemonConfig cfg = daemonConfig(root);
+    cfg.spoolDir = (root / "spool").string();
+    svc::Daemon daemon(cfg);
+    fs::remove_all(root / "cache");
+    std::ofstream(root / "cache") << "not a directory\n";
+
+    const std::string reply = runToReply(daemon, SmallTs1);
+    EXPECT_EQ(cleanReply, reply);
+    const svc::DaemonStats s = daemon.stats();
+    EXPECT_EQ(s.cacheWriteFailures, 1u);
+    EXPECT_EQ(s.completed, 1u);
+    EXPECT_EQ(s.failed, 0u);
+    // The reply is not durable, so the spool stays for a resume.
+    EXPECT_TRUE(fs::exists(root / "spool" / daemon.keyFor(SmallTs1)))
+        << "an uncached job removed its spool";
+
+    // Nothing was stored: the same request is computed again, with
+    // the same bytes.
+    EXPECT_EQ(runToReply(daemon, SmallTs1), cleanReply);
+    EXPECT_EQ(daemon.stats().engineRuns, 2u);
+    EXPECT_EQ(daemon.stats().cacheWriteFailures, 2u);
+}
+
 TEST(ResultCache, LruEvictionUnderByteBudget)
 {
     const fs::path root = scratchDir("svc_lru");

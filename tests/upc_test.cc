@@ -91,6 +91,34 @@ TEST(Monitor, DecodeBucketCountsInstructions)
               r.machine->ebox().instructions());
 }
 
+// Batched delivery (leaped stall and pad windows) adds exactly what
+// per-cycle delivery would, and nothing while the board is stopped.
+TEST(Monitor, BatchedEntriesMatchPerCycle)
+{
+    upc::UpcMonitor ref, bat;
+    ref.start();
+    bat.start();
+    for (int i = 0; i < 37; ++i)
+        ref.cycle(0x123, true);
+    bat.cycles(0x123, true, 37);
+    for (int i = 0; i < 5; ++i)
+        ref.cycle(0x124, false);
+    bat.cycles(0x124, false, 5);
+    for (int i = 0; i < 9; ++i)
+        ref.cycle(static_cast<ucode::UAddr>(0x120 + i), false);
+    bat.padCycles(0x120, 9);
+    ref.stop();
+    bat.stop();
+    bat.cycles(0x123, true, 50);
+    bat.padCycles(0x120, 9);
+
+    EXPECT_TRUE(ref.histogram() == bat.histogram());
+    EXPECT_EQ(ref.observedCycles(), bat.observedCycles());
+    EXPECT_EQ(bat.observedCycles(), 51u);
+    EXPECT_EQ(bat.histogram().stall(0x123), 37u);
+    EXPECT_EQ(bat.histogram().count(0x124), 6u);
+}
+
 TEST(Monitor, StartStopGates)
 {
     upc::UpcMonitor m;

@@ -125,11 +125,12 @@ main(int argc, char **argv)
         daemon.drain();
         const svc::DaemonStats s = daemon.stats();
         inform("upcd: done (%llu completed, %llu hits, %llu runs, "
-               "%llu drained)",
+               "%llu drained, %llu not cached)",
                static_cast<unsigned long long>(s.completed),
                static_cast<unsigned long long>(s.cacheHits),
                static_cast<unsigned long long>(s.engineRuns),
-               static_cast<unsigned long long>(s.drained));
+               static_cast<unsigned long long>(s.drained),
+               static_cast<unsigned long long>(s.cacheWriteFailures));
     } catch (const SimError &e) {
         std::fprintf(stderr, "upcd: %s\n", e.what());
         return 1;
