@@ -18,7 +18,7 @@
  * checkpoints (which must not perturb the histogram), plus the
  * wall-clock of restoring the newest checkpoint.
  *
- * Environment knobs (shared with the table benches):
+ * Environment knobs (shared with bench_workloads):
  *   UPC780_INSTR   - measured instructions per workload (default 40k)
  *   UPC780_WARMUP  - warm-up instructions per workload (default 8k)
  *   UPC780_MAXJOBS - highest worker count to measure (default 8)

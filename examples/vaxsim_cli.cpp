@@ -5,9 +5,19 @@
  *   vaxsim_cli run [workload] [instructions]   measure + summary
  *   vaxsim_cli report [instructions]           full paper-style report
  *
+ * `report` runs the paper's five-workload composite (default 100 000
+ * measured instructions per workload) on the parallel engine and
+ * prints every table the paper publishes; the merged report is
+ * bit-identical for any worker count. It also takes
+ *   --markdown              pipe tables instead of aligned text
+ *   --vs-paper              the paper's values beside every row, plus
+ *                           the derived checks and §5 what-ifs
+ *
  * `run` and `report` accept --jobs N (worker threads; default
- * UPC780_JOBS, else all cores) and --seeds K (seed replications, run
- * concurrently; the summary gains mean/stddev CPI across seeds).
+ * UPC780_JOBS, else all cores), --seeds K (seed replications, run
+ * concurrently; the summary gains mean/stddev CPI across seeds, the
+ * report covers replication 0) and --metrics (per-workload phase
+ * timings, sim rate and the composite event-counter table).
  * They also accept the crash-resilience flags:
  *   --checkpoint-dir DIR    persist checkpoints + per-task results
  *   --checkpoint-every N    periodic checkpoint cadence in cycles
@@ -17,6 +27,9 @@
  *   --resume                reuse finished .result files and restart
  *                           interrupted workloads from their latest
  *                           checkpoint instead of from boot
+ * The report comes out byte-identical either way; scripts/check.sh
+ * diffs it.
+ *
  *   vaxsim_cli trace [workload] [n]            last n retired instrs
  *   vaxsim_cli disasm <file> [base]            disassemble raw bytes
  *   vaxsim_cli ucode [--dump]                  microprogram stats/listing
@@ -66,7 +79,7 @@ profileByName(const char *name)
 }
 
 /**
- * Strip `--jobs N` / `--seeds K` out of an argv slice (compacting it
+ * Strip the run and report flags out of an argv slice (compacting it
  * in place) so the positional arguments keep their old meanings.
  */
 struct EngineArgs
@@ -75,6 +88,7 @@ struct EngineArgs
     unsigned seeds = 1;
     bool metrics = false;
     snap::CheckpointPolicy checkpoint;
+    upc::ReportOptions report;
 
     int
     extract(int argc, char **argv)
@@ -89,6 +103,10 @@ struct EngineArgs
                     strtoul(argv[++i], nullptr, 0));
             else if (!std::strcmp(argv[i], "--metrics"))
                 metrics = true;
+            else if (!std::strcmp(argv[i], "--markdown"))
+                report.markdown = true;
+            else if (!std::strcmp(argv[i], "--vs-paper"))
+                report.vsPaper = true;
             else if (!std::strcmp(argv[i], "--checkpoint-dir") &&
                      i + 1 < argc)
                 checkpoint.dir = argv[++i];
@@ -186,7 +204,7 @@ cmdReport(int argc, char **argv)
 {
     EngineArgs ea;
     argc = ea.extract(argc, argv);
-    uint64_t n = argc > 0 ? strtoull(argv[0], nullptr, 0) : 60000;
+    uint64_t n = argc > 0 ? strtoull(argv[0], nullptr, 0) : 100000;
     sim::ExperimentConfig cfg;
     cfg.instructionsPerWorkload = n;
     cfg.warmupInstructions = n / 6;
@@ -197,13 +215,11 @@ cmdReport(int argc, char **argv)
     auto reps = engine.runReplicated(wkl::paperWorkloads(), ea.seeds);
     const auto &c = reps.front();
     upc::HistogramAnalyzer an(c.histogram, ucode::microcodeImage());
-    upc::ReportHwInputs hw;
-    hw.ibFills = c.hw.ibFills;
-    hw.iReadMisses = c.hw.iReadMisses;
-    hw.dReadMisses = c.hw.dReadMisses;
-    hw.unalignedRefs = c.hw.unalignedRefs;
-    hw.softIntRequests = c.osStats.softIntRequests();
-    std::fputs(upc::writeReport(an, hw).c_str(), stdout);
+    ea.report.title = "VAX-11/780 UPC Measurement Report (composite of "
+                      "five workloads)";
+    std::fputs(upc::writeReport(an, sim::reportHwInputs(c), ea.report)
+                   .c_str(),
+               stdout);
     if (ea.seeds > 1) {
         RunningStat cpi = sim::cpiAcrossReplications(reps);
         std::printf("\nSeed sweep (%u replications per workload)\n",

@@ -77,9 +77,9 @@ else
 fi
 
 echo "== 4-worker composite is byte-identical to serial =="
-UPC780_LOG_LEVEL=quiet "$BUILD/examples/paper_report" 6000 --jobs 1 \
+UPC780_LOG_LEVEL=quiet "$BUILD/examples/vaxsim_cli" report 6000 --jobs 1 \
     > "$BUILD/report-serial.txt"
-UPC780_LOG_LEVEL=quiet "$BUILD/examples/paper_report" 6000 --jobs 4 \
+UPC780_LOG_LEVEL=quiet "$BUILD/examples/vaxsim_cli" report 6000 --jobs 4 \
     > "$BUILD/report-jobs4.txt"
 cmp "$BUILD/report-serial.txt" "$BUILD/report-jobs4.txt"
 echo "identical"
@@ -87,7 +87,7 @@ echo "identical"
 echo "== monitored leap is byte-identical to the per-cycle path =="
 # The monitor and watchdog take leaped windows as batches; forcing
 # every cycle through them (UPC780_NOLEAP) must render the same report.
-UPC780_NOLEAP=1 UPC780_LOG_LEVEL=quiet "$BUILD/examples/paper_report" \
+UPC780_NOLEAP=1 UPC780_LOG_LEVEL=quiet "$BUILD/examples/vaxsim_cli" report \
     6000 --jobs 1 > "$BUILD/report-noleap.txt"
 cmp "$BUILD/report-serial.txt" "$BUILD/report-noleap.txt"
 echo "identical"
@@ -98,10 +98,10 @@ echo "== crash + restore reproduces the report, serial and parallel =="
 # and the 4-worker recovery must match the uninterrupted serial
 # report byte for byte.
 rm -rf "$BUILD/ckpt-serial" "$BUILD/ckpt-jobs4"
-UPC780_LOG_LEVEL=quiet "$BUILD/examples/paper_report" 6000 --jobs 1 \
+UPC780_LOG_LEVEL=quiet "$BUILD/examples/vaxsim_cli" report 6000 --jobs 1 \
     --checkpoint-dir "$BUILD/ckpt-serial" --checkpoint-every 10000 \
     --crash-at 30000 > "$BUILD/report-ckpt-serial.txt"
-UPC780_LOG_LEVEL=quiet "$BUILD/examples/paper_report" 6000 --jobs 4 \
+UPC780_LOG_LEVEL=quiet "$BUILD/examples/vaxsim_cli" report 6000 --jobs 4 \
     --checkpoint-dir "$BUILD/ckpt-jobs4" --checkpoint-every 10000 \
     --crash-at 30000 > "$BUILD/report-ckpt-jobs4.txt"
 cmp "$BUILD/report-serial.txt" "$BUILD/report-ckpt-serial.txt"

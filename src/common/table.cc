@@ -34,14 +34,6 @@ TextTable::num(double v, int prec)
 }
 
 std::string
-TextTable::pct(double v, int prec)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.*f%%", prec, v);
-    return buf;
-}
-
-std::string
 TextTable::str() const
 {
     // Compute column widths over header and all rows.

@@ -1,7 +1,7 @@
 /**
  * @file
- * Plain-text table formatter used by the bench harnesses to print the
- * paper's tables with measured-vs-paper columns.
+ * Plain-text table formatter used by the report writer and the benches
+ * to print aligned tables.
  */
 
 #ifndef UPC780_COMMON_TABLE_HH
@@ -36,9 +36,6 @@ class TextTable
 
     /** Format helper: fixed-point double. */
     static std::string num(double v, int prec = 3);
-
-    /** Format helper: percentage with given precision. */
-    static std::string pct(double v, int prec = 2);
 
   private:
     struct Row

@@ -55,6 +55,21 @@ CompositeResult::allOk() const
     return true;
 }
 
+upc::ReportHwInputs
+reportHwInputs(const CompositeResult &c)
+{
+    upc::ReportHwInputs hw;
+    hw.ibFills = c.hw.ibFills;
+    hw.iReadMisses = c.hw.iReadMisses;
+    hw.dReadMisses = c.hw.dReadMisses;
+    hw.unalignedRefs = c.hw.unalignedRefs;
+    hw.softIntRequests = c.osStats.softIntRequests();
+    hw.timerInterrupts = c.timerInterrupts;
+    hw.terminalInterrupts = c.terminalInterrupts;
+    hw.syscalls = c.osStats.syscalls;
+    return hw;
+}
+
 void
 WorkloadResult::serialize(ByteWriter &w) const
 {

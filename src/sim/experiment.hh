@@ -24,6 +24,7 @@
 #include "os/kernel.hh"
 #include "snap/snapshot.hh"
 #include "upc/monitor.hh"
+#include "upc/report.hh"
 #include "workload/profile.hh"
 
 namespace upc780::sim
@@ -117,6 +118,9 @@ struct CompositeResult
     /** True when every workload completed its measurement. */
     bool allOk() const;
 };
+
+/** The counters upc::writeReport takes beside the histogram. */
+upc::ReportHwInputs reportHwInputs(const CompositeResult &c);
 
 /** Experiment configuration. */
 struct ExperimentConfig

@@ -197,13 +197,8 @@ successReply(const JobSpec &spec, const std::string &key,
         const sim::CompositeResult &c = reps.front();
         upc::HistogramAnalyzer an(c.histogram,
                                   effectiveImage(spec.machine));
-        upc::ReportHwInputs hw;
-        hw.ibFills = c.hw.ibFills;
-        hw.iReadMisses = c.hw.iReadMisses;
-        hw.dReadMisses = c.hw.dReadMisses;
-        hw.unalignedRefs = c.hw.unalignedRefs;
-        hw.softIntRequests = c.osStats.softIntRequests();
-        root.set("report", upc::writeReport(an, hw));
+        root.set("report",
+                 upc::writeReport(an, sim::reportHwInputs(c)));
     }
     return root.dump();
 }

@@ -184,7 +184,6 @@ TEST(Table, RendersAllCells)
 TEST(Table, NumberFormatting)
 {
     EXPECT_EQ(TextTable::num(1.23456, 2), "1.23");
-    EXPECT_EQ(TextTable::pct(50.0, 1), "50.0%");
 }
 
 // ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@
 #include "workload/profile.hh"
 
 #include "leap_scenario.hh"
+#include "param_names.hh"
 
 using namespace upc780;
 using namespace upc780::arch;
@@ -81,16 +82,13 @@ expectIdentical(const sim::WorkloadResult &sw, const sim::WorkloadResult &th)
             << sw.name << ": trace event " << i;
 
     // The rendered report (every paper table) is byte-identical.
-    upc::HistogramAnalyzer asw(sw.histogram, ucode::microcodeImage());
-    upc::HistogramAnalyzer ath(th.histogram, ucode::microcodeImage());
-    upc::ReportHwInputs hw_sw{sw.hw.ibFills, sw.hw.iReadMisses,
-                              sw.hw.dReadMisses, sw.hw.unalignedRefs,
-                              sw.osStats.softIntRequests()};
-    upc::ReportHwInputs hw_th{th.hw.ibFills, th.hw.iReadMisses,
-                              th.hw.dReadMisses, th.hw.unalignedRefs,
-                              th.osStats.softIntRequests()};
-    EXPECT_EQ(upc::writeReport(asw, hw_sw), upc::writeReport(ath, hw_th))
-        << sw.name;
+    auto report = [](const sim::WorkloadResult &w) {
+        sim::CompositeResult c;
+        c.add(w);
+        upc::HistogramAnalyzer an(c.histogram, ucode::microcodeImage());
+        return upc::writeReport(an, sim::reportHwInputs(c));
+    };
+    EXPECT_EQ(report(sw), report(th)) << sw.name;
 }
 
 class DispatchWorkload

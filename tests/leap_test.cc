@@ -145,3 +145,38 @@ TEST(DispatchLeap, LazyDeviceClockMatchesPerCycle)
     EXPECT_LT(dleap.ticks_, dref.ticks_ / 2)
         << "the leaping machine still ticks its devices every cycle";
 }
+
+// The terminal ISR drains input from an XFC assist two cycles after
+// the interrupt dispatch, which is the last point where the leaping
+// machine brought its lazily ticked terminal up to date. Input that
+// comes due inside that window must be drained by the same ISR, as on
+// the per-cycle machine, so VmsLite::onTermEvent has to sync the
+// devices first. The second input's due cycle steps one cycle at a
+// time past the first input's service until it needs an interrupt of
+// its own, so one step lands inside the window.
+TEST(DispatchLeap, TerminalInputDueInsideIsrWindowIsDrainedWithIt)
+{
+    const uint64_t firstDue = 20000;
+    uint64_t k = 1;
+    for (; k <= 2000; ++k) {
+        uint64_t interrupts[2] = {};
+        std::vector<uint8_t> state[2];
+        for (int noLeap : {0, 1}) {
+            auto m = threadedMachine(noLeap);
+            auto v = bootTwoProcesses(*m);
+            v->terminal().scheduleInput(firstDue, 1);
+            v->terminal().scheduleInput(firstDue + k, 1);
+            m->run(firstDue + k + 1000);
+            interrupts[noLeap] = v->terminal().interrupts();
+            state[noLeap] = snapState(*m);
+        }
+        ASSERT_EQ(interrupts[1], interrupts[0])
+            << "second input due " << k << " cycles after the first";
+        ASSERT_EQ(state[1], state[0])
+            << "second input due " << k << " cycles after the first";
+        if (interrupts[1] == 2)
+            break;
+    }
+    EXPECT_LE(k, 2000u) << "the second input never needed its own "
+                           "interrupt";
+}

@@ -25,6 +25,8 @@
 #include "upc/analyzer.hh"
 #include "workload/profile.hh"
 
+#include "param_names.hh"
+
 using namespace upc780;
 using obs::Ev;
 

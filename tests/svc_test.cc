@@ -236,13 +236,8 @@ TEST(Daemon, ReportMatchesLocalEngineTables1Through9)
         engine.runReplicated(svc::profilesFor(spec), spec.replications);
     const sim::CompositeResult &c = reps.front();
     upc::HistogramAnalyzer an(c.histogram, ucode::microcodeImage());
-    upc::ReportHwInputs hw;
-    hw.ibFills = c.hw.ibFills;
-    hw.iReadMisses = c.hw.iReadMisses;
-    hw.dReadMisses = c.hw.dReadMisses;
-    hw.unalignedRefs = c.hw.unalignedRefs;
-    hw.softIntRequests = c.osStats.softIntRequests();
-    EXPECT_EQ(report->asString(), upc::writeReport(an, hw))
+    EXPECT_EQ(report->asString(),
+              upc::writeReport(an, sim::reportHwInputs(c)))
         << "daemon report diverged from the CLI's";
 
     for (const char *needle :

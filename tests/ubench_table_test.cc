@@ -81,6 +81,38 @@ TEST(UbenchTable, SweepIsSubstantialAndOrdered)
     }
 }
 
+/**
+ * Both renderers on a hand-built table: the text form upctable prints
+ * by default (the golden pins only the JSON), and the skipped-opcode
+ * entries the real sweep does not produce.
+ */
+TEST(UbenchTable, RenderersListRowsAndSkips)
+{
+    ubench::LatencyTable t;
+    t.baselineCycles = 7;
+    t.rows.push_back({0xC0, "ADDL2", "SIMPLE", 9, 8, 1, 2, -1});
+    t.skipped.push_back({0xFD, "ESCF", "reserved opcode"});
+
+    const std::string text = ubench::tableToText(t);
+    EXPECT_NE(text.find("(baseline 7 cycles/iter)"), std::string::npos)
+        << text;
+    EXPECT_NE(text.find("0xC0   ADDL2    SIMPLE              9      8 "
+                        "      1        2           -1\n"),
+              std::string::npos)
+        << text;
+    EXPECT_NE(text.find("0xFD   ESCF     skipped: reserved opcode\n"),
+              std::string::npos)
+        << text;
+
+    const std::string json = ubench::tableToJson(t);
+    EXPECT_NE(json.find("\"mnemonic\": \"ADDL2\""), std::string::npos)
+        << json;
+    EXPECT_NE(json.find("{\"opcode\": 253, \"mnemonic\": \"ESCF\", "
+                        "\"reason\": \"reserved opcode\"}\n"),
+              std::string::npos)
+        << json;
+}
+
 } // namespace
 
 int
